@@ -159,7 +159,8 @@ def main() -> None:
         shard = store.shards[0]
         print(
             f"store.get(1234):     {molecule} "
-            f"(decoded {shard.blocks_decoded} of {shard.block_count} blocks, "
+            f"(loaded {shard.blocks_decoded} of {shard.block_count} blocks, "
+            f"decoded {shard.records_decoded} record, "
             f"{shard.bytes_read} of {info.payload_bytes} payload bytes)"
         )
 

@@ -13,8 +13,8 @@ This flat layout (``.zsmi`` data + ``.zsx`` sidecar index, one seek per
 record) is the documented *fallback* path: at production scale the
 block-compressed ``.zss`` container (:mod:`repro.store`) serves the same
 :class:`~repro.store.protocol.RecordReader` protocol with a binary footer
-index, per-block checksums and cached block decode.  Code that serves
-records should accept the protocol and let
+index, per-block checksums and a block cache decoding only the records
+read.  Code that serves records should accept the protocol and let
 :func:`repro.store.open_reader` pick the implementation by suffix.
 """
 

@@ -19,8 +19,12 @@ and line-oriented tooling; the documented fallback.
 
 **Single-shard store** (``.zss``) — :class:`~repro.store.CorpusStore`.
 Fixed-size blocks of codec output with a footer index, CRC-32 checks, LRU
-block cache and an embeddable dictionary.  Right for any corpus that is
-packed once and served many times from one process.
+block cache and an embeddable dictionary.  A cache miss loads the block
+(one read, one CRC check, one split into stored records); each record is
+decoded the first time a read asks for it, so a cold ``get`` decodes one
+record and a ``get_many`` decodes only the records it names — each line is
+compressed on its own, and none needs its neighbours to decode.  Right for
+any corpus that is packed once and served many times from one process.
 
 **Sharded library** (``library.json`` + N ``.zss`` shards) —
 :class:`CorpusLibrary` over :class:`ShardedCorpusStore`.  The manifest
@@ -40,7 +44,7 @@ Right when consumers are *other processes or machines*: the corpus is
 packed once, served by one process, and every consumer reads it through
 :class:`~repro.server.CorpusClient` — or just ``open_reader("http://…")``,
 which satisfies this same protocol.  The bounded reader pool caps
-concurrent block decodes, so a burst of clients queues instead of
+concurrent block reads and decodes, so a burst of clients queues instead of
 thundering the disk.
 
 Packing::

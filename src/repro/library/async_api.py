@@ -1,11 +1,11 @@
 """Async serving surface: :class:`AsyncCorpusLibrary`.
 
-Block decode and file I/O are blocking, so the async surface runs them on
-worker threads (``asyncio.to_thread``) over a *bounded pool* of independent
-:class:`~repro.library.facade.CorpusLibrary` readers.  Each pooled reader
-owns its file handles, so concurrent requests never contend on a shared
-seek position; the pool size bounds both thread fan-out and open file
-handles.  Results are byte-identical to the sync path — the parity tests
+Block loads, record decodes and file I/O are blocking, so the async surface
+runs them on worker threads (``asyncio.to_thread``) over a *bounded pool* of
+independent :class:`~repro.library.facade.CorpusLibrary` readers.  Each
+pooled reader owns its file handles, so concurrent requests never contend
+on a shared seek position; the pool size bounds both thread fan-out and
+open file handles.  Results are byte-identical to the sync path — the parity tests
 pin ``await lib.get(i) == store.get(i)`` for every record.
 
 Typical use inside a request-serving loop::
@@ -67,7 +67,8 @@ class AsyncCorpusLibrary:
 
         The pooled readers hold independent file handles (so blocking reads
         never contend on a seek position) but share one ``cache_blocks``
-        LRU budget: a block decoded by any reader is a cache hit for all.
+        LRU budget: a block loaded by any reader is a cache hit for all, and
+        a record one reader decoded is never decoded again by another.
         """
         if pool_size < 1:
             raise LibraryError("pool_size must be >= 1")
@@ -113,7 +114,7 @@ class AsyncCorpusLibrary:
         return self._readers[0].dictionary_identity()
 
     def cache_stats(self) -> dict:
-        """Shared decoded-block cache counters across the whole reader pool.
+        """Shared block cache counters across the whole reader pool.
 
         :meth:`open` hands every pooled reader the same :class:`BlockCache`,
         so the first reader's snapshot *is* the pool aggregate.

@@ -112,7 +112,7 @@ class CorpusLibrary:
         return self.store.cache_misses
 
     def cache_stats(self) -> dict:
-        """Hit/miss/occupancy snapshot of the shared decoded-block cache."""
+        """Hit/miss/occupancy snapshot of the shared block cache."""
         return self.store.cache_stats()
 
     def quarantine_stats(self) -> dict:

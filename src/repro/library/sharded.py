@@ -5,7 +5,10 @@ routing come straight from ``library.json``, so *no* shard file is opened
 until one of its records is actually requested (``open_shard_count`` makes
 that observable).  All shards share one LRU block-cache budget through
 :class:`~repro.store.reader.BlockCacheView` — a library of 64 shards under
-``cache_blocks=16`` holds at most 16 decoded blocks in memory, not 1024.
+``cache_blocks=16`` holds at most 16 blocks in memory, not 1024.  A cached
+block holds its stored records and decodes each one on first read, so a
+``get`` decodes one record and a ``get_many`` — grouped by shard here and
+by block in each shard — decodes each requested record once.
 
 The class satisfies the :class:`~repro.store.protocol.RecordReader`
 protocol, so everything that serves records (screening, dataset loaders,
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..core.codec import ZSmilesCodec
 from ..errors import DictionaryMismatchError, ManifestError
@@ -28,6 +31,7 @@ from ..store.reader import (
     BlockCacheView,
     RecordAccessMixin,
     ShardReader,
+    fetch_grouped,
 )
 from .manifest import LibraryManifest, resolve_manifest_path
 
@@ -46,10 +50,10 @@ class ShardedCorpusStore(RecordAccessMixin):
     codec:
         Codec override; per-shard embedded dictionaries are used when omitted.
     cache_blocks:
-        Shared LRU budget: the maximum number of decoded blocks cached across
-        *all* shards together (ignored when *cache* is given).
+        Shared LRU budget: the maximum number of blocks cached across *all*
+        shards together (ignored when *cache* is given).
     verify_checksums:
-        Validate block CRC-32s on first decode.
+        Validate block CRC-32s when a block is loaded.
     use_mmap:
         Serve shard block reads from read-only memory maps.
     cache / raw_cache:
@@ -165,7 +169,7 @@ class ShardedCorpusStore(RecordAccessMixin):
 
     @property
     def cached_blocks(self) -> int:
-        """Decoded blocks currently held by the shared cache."""
+        """Blocks currently held by the shared cache."""
         return len(self._cache)
 
     @property
@@ -181,7 +185,7 @@ class ShardedCorpusStore(RecordAccessMixin):
         return self._cache.misses
 
     def cache_stats(self) -> dict:
-        """Hit/miss/occupancy snapshot of the shared decoded-block cache."""
+        """Hit/miss/occupancy snapshot of the shared block cache."""
         return self._cache.stats()
 
     def quarantine_stats(self) -> dict:
@@ -235,6 +239,24 @@ class ShardedCorpusStore(RecordAccessMixin):
         """The record at global *index*, routed through the manifest."""
         shard_no, local = self.manifest.locate(index)
         return self.shard(shard_no).get(local)
+
+    def get_many(self, indices: Iterable[int]) -> List[str]:
+        """Fetch several records in request order, grouped by shard and block.
+
+        Each touched block costs one cache lookup and at most one kernel
+        call, however the request orders or repeats its indices.
+        """
+
+        def route(index: int) -> Tuple[Tuple[int, int], int]:
+            shard_no, local = self.manifest.locate(index)
+            block, offset = self.shard(shard_no).locate(local)
+            return (shard_no, block), offset
+
+        return fetch_grouped(
+            indices,
+            route,
+            lambda key, offsets: self.shard(key[0])._block_records(key[1], offsets),
+        )
 
     def get_raw(self, index: int) -> str:
         """The stored (compressed) record at global *index*."""

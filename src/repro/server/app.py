@@ -20,6 +20,10 @@ a deliberately small slice of HTTP/1.1 over plain ``asyncio`` streams
                             chunk so the event loop interleaves requests
 ==========================  ================================================
 
+The ``cache`` counters in ``/stats`` count one lookup per block a read
+touches: a single get makes one, while a batch, a sample or a range-stream
+chunk makes one per distinct block it spans, not one per record.
+
 Connections are keep-alive by default; every error is the JSON envelope of
 :mod:`repro.server.protocol`, typed so clients re-raise the exact
 :mod:`repro.errors` class.  :meth:`CorpusServer.shutdown` is graceful: the
@@ -738,6 +742,7 @@ class CorpusServer:
             "uptime_seconds": round(time.monotonic() - self._started_at, 3)
             if self._started
             else 0.0,
+            # One lookup per block a read touches, not one per record.
             "cache": self.library.cache_stats(),
             "counters": dict(self.counters),
             # Degraded-read visibility: which blocks this replica has

@@ -9,9 +9,9 @@ an optional embedded dictionary:
   corpus through the :class:`~repro.engine.ZSmilesEngine` batch surface;
   ``backend="auto"`` / ``jobs`` parallelize packing across blocks,
 * :class:`ShardReader` / :class:`CorpusStore` — O(1) record → block lookup,
-  thread-safe LRU-cached block decode (capacity via ``cache_blocks``),
-  optional mmap-backed reads (``use_mmap=True``), ``get`` / ``get_many`` /
-  ``slice`` / ``iter_all``,
+  a thread-safe LRU block cache (capacity via ``cache_blocks``) whose
+  entries decode each record on its first read, optional mmap-backed reads
+  (``use_mmap=True``), ``get`` / ``get_many`` / ``slice`` / ``iter_all``,
 * :class:`RecordReader` / :func:`open_reader` — the protocol every serving
   layer satisfies; ``open_reader`` dispatches by path shape.
 

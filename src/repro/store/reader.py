@@ -2,17 +2,26 @@
 
 :class:`ShardReader` serves one shard with O(1) record → block lookup
 (``record // records_per_block``), per-block CRC validation and an LRU cache
-of decoded blocks, so repeated lookups in a hot region never re-read or
-re-decompress.  :class:`CorpusStore` composes one or more shards behind the
-same :class:`~repro.store.protocol.RecordReader` surface as the flat
+of lazily decoded blocks (:class:`BlockEntry`): a cache miss loads the
+block — one read, one CRC check, one split into stored records — and a read
+then decodes only the records it asks for that no earlier read decoded.
+Each record is compressed on its own, so serving one needs none of its
+neighbours; repeated lookups in a hot region never re-read or re-decompress.
+:class:`CorpusStore` composes one or more shards behind the same
+:class:`~repro.store.protocol.RecordReader` surface as the flat
 :class:`~repro.core.random_access.RandomAccessReader`.
 
-Serving one record touches exactly one block: the reader seeks to the block's
-footer-recorded offset and reads ``length`` bytes — never the whole file.
-The :attr:`ShardReader.blocks_decoded` / :attr:`ShardReader.bytes_read`
-counters make that property testable.  Block decodes run through the
-flat-array kernel (:class:`~repro.engine.kernel.BlockKernel`), byte-identical
-to the per-line reference decompressor.
+Serving one record touches exactly one block and decodes exactly one
+record: the reader seeks to the block's footer-recorded offset and reads
+``length`` bytes — never the whole file.  The
+:attr:`ShardReader.blocks_decoded` (block loads),
+:attr:`ShardReader.records_decoded` and :attr:`ShardReader.bytes_read`
+counters make that property testable.  Batched reads (``get_many``,
+``slice``, ``iter_all``, ``sample``) group their indices by block, so each
+touched block costs one cache lookup and at most one kernel call.  Record
+decodes run through the flat-array kernel
+(:class:`~repro.engine.kernel.BlockKernel`), byte-identical to the per-line
+reference decompressor.
 """
 
 from __future__ import annotations
@@ -24,7 +33,20 @@ import time
 from bisect import bisect_right
 from collections import OrderedDict
 from pathlib import Path
-from typing import BinaryIO, Dict, Hashable, Iterator, List, Optional, Sequence, Union
+from typing import (
+    BinaryIO,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from ..core.codec import ZSmilesCodec
 from ..dictionary import serialization
@@ -40,61 +62,103 @@ from .format import (
 )
 
 PathLike = Union[str, Path]
+K = TypeVar("K")
 
-#: Default number of decoded blocks kept in the LRU cache.
+#: Default number of blocks kept in the LRU cache.
 DEFAULT_CACHE_BLOCKS = 16
 
 
-class BlockCache:
-    """Thread-safe LRU cache mapping a block key -> decoded record list.
+class BlockEntry:
+    """One cached block: its stored records and a decoded slot per record.
 
-    Keys are arbitrary hashable values: a lone :class:`ShardReader` uses plain
-    block numbers, while :class:`~repro.library.ShardedCorpusStore` shares one
-    cache across shards through :class:`BlockCacheView`, whose keys are
-    ``(shard path, block)`` pairs — one capacity budget for the whole library
-    (or several libraries sharing a cache).
+    A slot stays ``None`` until a read asks for its record; the reader then
+    fills every empty slot that read needs with one kernel call.  A reader
+    without a codec serves stored records as they are, so it builds entries
+    whose slots are all filled from the start.
+    """
+
+    __slots__ = ("stored", "decoded")
+
+    def __init__(self, stored: List[str], decoded: Optional[List[Optional[str]]] = None):
+        self.stored = stored
+        self.decoded: List[Optional[str]] = (
+            decoded if decoded is not None else [None] * len(stored)
+        )
+
+
+class BlockCache:
+    """Thread-safe LRU cache mapping a block key -> cached block.
+
+    A :class:`ShardReader` caches one :class:`BlockEntry` per block (its
+    ``raw_cache`` holds plain stored-record lists); the cache itself treats
+    values as opaque.  Keys are arbitrary hashable values: a lone
+    :class:`ShardReader` uses plain block numbers, while
+    :class:`~repro.library.ShardedCorpusStore` shares one cache across
+    shards through :class:`BlockCacheView`, whose keys are
+    ``(shard path, block)`` pairs — one capacity budget for the whole
+    library (or several libraries sharing a cache).
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise StoreFormatError("cache capacity must be >= 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, List[str]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         registry = _metrics.get_registry()
-        self._metric_lookups = registry.counter(
+        lookups = registry.counter(
             "zsmiles_cache_lookups_total",
             "Block cache lookups, by outcome",
             labels=("outcome",),
         )
+        # Bound once: every read makes a lookup, and labels() costs more
+        # than the increment it guards.
+        self._metric_hit = lookups.labels("hit")
+        self._metric_miss = lookups.labels("miss")
         self._metric_evictions = registry.counter(
             "zsmiles_cache_evictions_total",
-            "Decoded blocks evicted by LRU pressure",
+            "Cached blocks evicted by LRU pressure",
         )
 
-    def get(self, key: Hashable) -> Optional[List[str]]:
+    def get(self, key: Hashable) -> Optional[object]:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                self._metric_lookups.labels("miss").inc()
+                self._metric_miss.inc()
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            self._metric_lookups.labels("hit").inc()
+            self._metric_hit.inc()
             return entry
 
-    def put(self, key: Hashable, value: List[str]) -> None:
+    def put(self, key: Hashable, value: object) -> None:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                self._metric_evictions.inc()
+            self._evict()
+
+    def get_or_put(self, key: Hashable, value: object) -> object:
+        """Cache *value* unless *key* is already cached; return the cached one.
+
+        Two threads that miss on one block both load it; the second adopts
+        the first one's entry, so records decoded into either end up in the
+        one cached entry.  Not a lookup: the hit/miss counters do not move.
+        """
+        with self._lock:
+            resident = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            self._evict()
+            return resident
+
+    def _evict(self) -> None:
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+            self._metric_evictions.inc()
 
     def __len__(self) -> int:
         with self._lock:
@@ -107,8 +171,11 @@ class BlockCache:
     def stats(self) -> Dict[str, object]:
         """Hit/miss/occupancy snapshot (the shape ``/stats`` and the CLI report).
 
-        ``hit_rate`` is ``hits / (hits + misses)`` — ``0.0`` before any
-        lookup, so an idle cache never divides by zero.
+        One lookup is one block touched by one read: ``get(i)`` makes one,
+        and a batched read (``get_many``, ``slice``, ``iter_all``,
+        ``sample``) makes one per distinct block it touches, not one per
+        record.  ``hit_rate`` is ``hits / (hits + misses)`` — ``0.0``
+        before any lookup, so an idle cache never divides by zero.
         """
         with self._lock:
             lookups = self.hits + self.misses
@@ -151,11 +218,14 @@ class BlockCacheView:
     def misses(self) -> int:
         return self.shared.misses
 
-    def get(self, key: Hashable) -> Optional[List[str]]:
+    def get(self, key: Hashable) -> Optional[object]:
         return self.shared.get((self.namespace, key))
 
-    def put(self, key: Hashable, value: List[str]) -> None:
+    def put(self, key: Hashable, value: object) -> None:
         self.shared.put((self.namespace, key), value)
+
+    def get_or_put(self, key: Hashable, value: object) -> object:
+        return self.shared.get_or_put((self.namespace, key), value)
 
     def __contains__(self, key: Hashable) -> bool:
         return (self.namespace, key) in self.shared
@@ -163,6 +233,35 @@ class BlockCacheView:
     def stats(self) -> Dict[str, int]:
         """The shared cache's aggregate snapshot (views share one budget)."""
         return self.shared.stats()
+
+
+def fetch_grouped(
+    indices: Iterable[int],
+    route: Callable[[int], Tuple[K, int]],
+    fetch: Callable[[K, List[int]], Sequence[str]],
+) -> List[str]:
+    """Serve *indices* in request order with one *fetch* per group.
+
+    ``route(index)`` names the group an index falls in — a block, or a
+    ``(shard, block)`` pair — and its offset there; ``fetch(group,
+    offsets)`` returns the records at those offsets.  Groups are fetched
+    in order of first appearance, and every index is routed — so
+    range-checked — before any group is fetched.
+    """
+    routed = [route(index) for index in indices]
+    groups: Dict[K, List[int]] = {}
+    for slot, (key, _) in enumerate(routed):
+        slots = groups.get(key)
+        if slots is None:
+            groups[key] = [slot]
+        else:
+            slots.append(slot)
+    out: List[str] = [""] * len(routed)
+    for key, slots in groups.items():
+        records = fetch(key, [routed[slot][1] for slot in slots])
+        for slot, record in zip(slots, records):
+            out[slot] = record
+    return out
 
 
 class RecordAccessMixin:
@@ -187,7 +286,7 @@ class RecordAccessMixin:
         if start < 0 or stop < start:
             raise RandomAccessError(f"invalid slice [{start}, {stop})")
         stop = min(stop, len(self))  # type: ignore[arg-type]
-        return [self.get(i) for i in range(start, stop)]  # type: ignore[attr-defined]
+        return self.get_many(range(start, stop))
 
     def iter_all(self) -> Iterator[str]:
         """Iterate over every record in order."""
@@ -223,6 +322,13 @@ class RecordAccessMixin:
 class ShardReader(RecordAccessMixin):
     """Random access to the records of one ``.zss`` shard.
 
+    A read loads its block on a cache miss (read, CRC, split) and decodes
+    only the requested records not already decoded in the cached entry:
+    ``get`` decodes one record, and ``get_many`` / ``slice`` / ``iter_all``
+    / ``sample`` group their indices by block, with one cache lookup and
+    at most one kernel call per touched block.  ``blocks_decoded`` counts
+    block loads and ``records_decoded`` the records actually decoded.
+
     Parameters
     ----------
     source:
@@ -233,9 +339,11 @@ class ShardReader(RecordAccessMixin):
         returned as stored (compressed text), mirroring a codec-less
         :class:`~repro.core.random_access.RandomAccessReader`.
     cache_blocks:
-        Decoded blocks kept in the LRU cache (ignored when *cache* is given).
+        Blocks kept in the LRU cache (ignored when *cache* is given).  A
+        cached block is a :class:`BlockEntry`: the block's stored records,
+        decoded record by record as reads ask for them.
     verify_checksums:
-        Validate each block's CRC-32 on first decode.
+        Validate each block's CRC-32 when the block is loaded.
     use_mmap:
         Serve block reads out of a read-only memory map instead of
         ``seek``/``read`` on the file handle.  Byte-identical to the
@@ -281,7 +389,10 @@ class ShardReader(RecordAccessMixin):
         self._raw_cache = raw_cache if raw_cache is not None else BlockCache(cache_blocks)
         self.codec = codec if codec is not None else self._embedded_codec()
         self._kernel = None  # lazy BlockKernel, rebuilt if the codec is swapped
+        # blocks_decoded counts block loads (read, CRC, split); records are
+        # decoded one by one on demand and counted in records_decoded.
         self.blocks_decoded = 0
+        self.records_decoded = 0
         self.bytes_read = 0
         # Quarantine: blocks that failed an integrity check.  Re-reads fail
         # fast with the remembered error instead of re-touching the disk —
@@ -291,11 +402,15 @@ class ShardReader(RecordAccessMixin):
         registry = _metrics.get_registry()
         self._metric_decode_seconds = registry.histogram(
             "zsmiles_store_block_decode_seconds",
-            "Wall time of one cache-miss block load+decode",
+            "Wall time of one cache-miss block load (read, CRC, split)",
         )
         self._metric_blocks_decoded = registry.counter(
             "zsmiles_store_blocks_decoded_total",
-            "Blocks decoded from shards",
+            "Block loads (read, CRC, split) from shards",
+        )
+        self._metric_records_decoded = registry.counter(
+            "zsmiles_store_records_decoded_total",
+            "Records decoded from shards (over records served: decode amplification)",
         )
         self._metric_reads = registry.counter(
             "zsmiles_store_reads_total",
@@ -378,7 +493,7 @@ class ShardReader(RecordAccessMixin):
         return self._cache.misses
 
     def cache_stats(self) -> Dict[str, int]:
-        """Decoded-block cache counters (shared aggregates for pooled caches)."""
+        """Block cache counters (shared aggregates for pooled caches)."""
         return self._cache.stats()
 
     def quarantine_stats(self) -> Dict[str, object]:
@@ -411,11 +526,47 @@ class ShardReader(RecordAccessMixin):
             raise RandomAccessError(f"record {index} out of range [0, {len(self)})")
         return index // self.records_per_block
 
+    def locate(self, index: int) -> Tuple[int, int]:
+        """``(block, offset within the block)`` of record *index* (O(1))."""
+        block = self.block_of(index)
+        return block, index - block * self.records_per_block
+
     def get(self, index: int) -> str:
         """The record at *index*, decompressed when a codec is available."""
-        block = self.block_of(index)
-        records = self._block_records(block)
-        return records[index - block * self.records_per_block]
+        block, offset = self.locate(index)
+        entry = self._block_entry(block)
+        record = entry.decoded[offset]
+        if record is None:
+            self._fill(entry, [offset])
+            record = entry.decoded[offset]
+        return record  # type: ignore[return-value]
+
+    def get_many(self, indices: Iterable[int]) -> List[str]:
+        """Fetch several records in request order.
+
+        Indices are grouped by block: each touched block costs one cache
+        lookup and at most one kernel call, whatever the order of the
+        request or its duplicates.
+        """
+        return fetch_grouped(indices, self.locate, self._block_records)
+
+    def _block_records(self, block: int, offsets: Sequence[int]) -> List[str]:
+        """The records at *offsets* of *block*, decoding only empty slots.
+
+        One cache lookup and at most one kernel call.  The batched reads of
+        this reader and of the multi-shard stores serve each block through
+        here, with *block* and *offsets* as :meth:`locate` returns them —
+        they are not range-checked again.
+        """
+        entry = self._block_entry(block)
+        decoded = entry.decoded
+        records = [decoded[offset] for offset in offsets]
+        if None in records:
+            # dict.fromkeys: a request naming one record twice decodes it once.
+            missing = dict.fromkeys(o for o, r in zip(offsets, records) if r is None)
+            self._fill(entry, list(missing))
+            records = [decoded[offset] for offset in offsets]
+        return records  # type: ignore[return-value]
 
     def get_raw(self, index: int) -> str:
         """The stored (compressed) record at *index* (LRU-cached per block)."""
@@ -430,7 +581,9 @@ class ShardReader(RecordAccessMixin):
     def iter_all(self) -> Iterator[str]:
         """Iterate over every record in order, one block at a time."""
         for block in range(self.block_count):
-            yield from self._block_records(block)
+            entry = self._block_entry(block)
+            self._fill(entry, [o for o, record in enumerate(entry.decoded) if record is None])
+            yield from entry.decoded  # type: ignore[misc]
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -493,31 +646,46 @@ class ShardReader(RecordAccessMixin):
         self._metric_quarantine.labels("hit").inc()
         raise BlockCorruptionError(message, shard_path=self.path, block=block)
 
-    def _block_records(self, block: int) -> List[str]:
-        """Decoded (decompressed) records of one block, LRU-cached."""
-        cached = self._cache.get(block)
-        if cached is not None:
-            return cached
+    def _block_entry(self, block: int) -> BlockEntry:
+        """The cache entry of *block*; a miss loads it (read, CRC, split)."""
+        entry = self._cache.get(block)
+        if entry is not None:
+            return entry  # type: ignore[return-value]
         self._check_quarantine(block)
         started = time.perf_counter()
         stored = self._load_payload(block)
-        if self.codec is not None:
-            records = self._decompress_block(stored)
-        else:
-            records = stored
+        # Without a codec the stored records are what a read returns.
+        loaded = BlockEntry(stored, None if self.codec is not None else stored)
         with self._io_lock:
             self.blocks_decoded += 1
         self._metric_blocks_decoded.inc()
         self._metric_decode_seconds.observe(time.perf_counter() - started)
-        self._cache.put(block, records)
-        return records
+        return self._cache.get_or_put(block, loaded)  # type: ignore[return-value]
+
+    def _fill(self, entry: BlockEntry, missing: List[int]) -> None:
+        """Decode the empty slots at *missing* (distinct) in one kernel call.
+
+        Two threads may find the same slot empty and both decode it; they
+        compute the same string from the same stored record, so either
+        write is correct and the race costs only a repeated decode.
+        """
+        if not missing:
+            return
+        stored = entry.stored
+        records = self._decompress_block([stored[offset] for offset in missing])
+        decoded = entry.decoded
+        for offset, record in zip(missing, records):
+            decoded[offset] = record
+        with self._io_lock:
+            self.records_decoded += len(missing)
+        self._metric_records_decoded.inc(len(missing))
 
     def _decompress_block(self, stored: List[str]) -> List[str]:
-        """Decode one block through the flat-array kernel (reference parity).
+        """Decode stored records through the flat-array kernel (reference parity).
 
         The kernel is compiled lazily from the reader's codec and rebuilt if
         the ``codec`` attribute is swapped; its decompression path is
-        re-entrant, so concurrent block decodes can share it.
+        re-entrant, so concurrent decodes can share it.
         """
         kernel = self._kernel
         if kernel is None or kernel.codec is not self.codec:
@@ -602,6 +770,18 @@ class CorpusStore(RecordAccessMixin):
         """The record at global *index*."""
         shard, local = self._locate(index)
         return shard.get(local)
+
+    def get_many(self, indices: Iterable[int]) -> List[str]:
+        """Fetch several records in request order, grouped by shard and block."""
+
+        def route(index: int) -> Tuple[Tuple[ShardReader, int], int]:
+            shard, local = self._locate(index)
+            block, offset = shard.locate(local)
+            return (shard, block), offset
+
+        return fetch_grouped(
+            indices, route, lambda key, offsets: key[0]._block_records(key[1], offsets)
+        )
 
     def get_raw(self, index: int) -> str:
         """The stored (compressed) record at global *index*."""

@@ -5,10 +5,11 @@ metrics registry with Prometheus exposition, ``contextvars``-propagated
 trace spans, and structured JSON access logs.  Every tier is already
 instrumented — the server (per-route counters and latency/size
 histograms), the clients (requests, retries, rotations, stream
-progress), the store (block decode latency, cache hits/misses/evictions,
-mmap vs handle reads, quarantine events), the engine kernel (lines and
-bytes moved, reference fallbacks), the campaign driver (generation
-timings, operator accept/reject), and the fault layer (``faults_*``).
+progress), the store (block load latency, records decoded, cache
+hits/misses/evictions, mmap vs handle reads, quarantine events), the
+engine kernel (lines and bytes moved, reference fallbacks), the campaign
+driver (generation timings, operator accept/reject), and the fault layer
+(``faults_*``).
 
 Metric naming conventions
 =========================
@@ -30,16 +31,16 @@ definition::
 
     from ..telemetry import metrics as tm
 
-    _DECODES = tm.counter(
+    _LOADS = tm.counter(
         "zsmiles_store_blocks_decoded_total",
-        "Blocks decoded from shards",
+        "Block loads (read, CRC, split) from shards",
     )
     _LATENCY = tm.histogram(
         "zsmiles_store_block_decode_seconds",
-        "Wall time of one block load+decode",
+        "Wall time of one cache-miss block load (read, CRC, split)",
     )
     ...
-    _DECODES.inc()
+    _LOADS.inc()
     _LATENCY.observe(elapsed)
 
 Aggregate hot loops locally and report once per block/batch; the per-call
